@@ -115,9 +115,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     serve_group.add_argument(
         "--http", action="store_true",
         help="front-door smoke: start the asyncio HTTP endpoint, replay the "
-        "demo requests over HTTP (fingerprint_only), and verify every "
-        "fingerprint against the in-process service — exits non-zero on any "
-        "mismatch",
+        "demo requests over HTTP (the first with full columns, rebuilt into a "
+        "table and re-fingerprinted; the rest fingerprint_only), and verify "
+        "every fingerprint against the in-process service — exits non-zero "
+        "on any mismatch",
     )
     serve_group.add_argument(
         "--workers", type=int, default=None,
@@ -299,6 +300,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.serve import ChunkPolicy, FaultPlan, ModelRegistry, SamplingService
         from repro.serve.api import RequestSpec, table_fingerprint
         from repro.serve.http import FrontDoor
+        from repro.tabular.table import Table
         from repro.utils.rng import derive_seed
 
         if args.check_metrics and not args.http:
@@ -351,7 +353,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if args.http:
                     # Front-door smoke: the same specs replayed over live
                     # HTTP must fingerprint identically to the in-process
-                    # service (the byte contract, end to end).
+                    # service (the byte contract, end to end).  The first
+                    # request also fetches its columns: the table rebuilt
+                    # from the JSON body must fingerprint the same.
                     front_door = FrontDoor({name: service})
                     host, port = front_door.start_http()
                     url = f"http://{host}:{port}/sample"
@@ -359,9 +363,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     mismatches = 0
                     metrics_report = None
                     try:
-                        for spec in specs:
+                        for i, spec in enumerate(specs):
                             body = dict(spec.to_dict())
-                            body["fingerprint_only"] = True
+                            body["fingerprint_only"] = i > 0
                             raw = urllib.request.urlopen(
                                 urllib.request.Request(
                                     url,
@@ -369,10 +373,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                     method="POST",
                                 )
                             ).read()
-                            remote = json.loads(raw)["fingerprint"]
-                            local = table_fingerprint(service.sample(spec))
+                            response_body = json.loads(raw)
+                            remote = response_body["fingerprint"]
+                            table = service.sample(spec)
+                            local = table_fingerprint(table)
                             if remote != local:
                                 mismatches += 1
+                            if i == 0:
+                                try:
+                                    columns = response_body.get("columns", {})
+                                    rebuilt = table_fingerprint(Table(columns, table.schema))
+                                except ValueError:  # columns missing or malformed
+                                    rebuilt = None
+                                if rebuilt != local:
+                                    mismatches += 1
                             digest.update(remote.encode("ascii"))
                         if args.check_metrics:
                             # Scrape the live /metrics page and validate the

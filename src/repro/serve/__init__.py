@@ -126,8 +126,9 @@ a request is served, never *what*:
     backend services (registry stages ``prod``/``canary`` serving
     concurrently) via a :class:`~repro.scheduler.broker.BackendRouter`
     driven by the scheduler's ``LeastLoadedBroker``, and optionally speaks
-    stdlib-only HTTP (``POST /sample``, ``GET /stats|/models|/healthz``)
-    from a background asyncio thread.
+    HTTP (``POST /sample``, ``GET /stats|/models|/metrics|/healthz``) from
+    a background asyncio thread, with ``orjson`` response bodies encoded
+    on executor threads.
 :func:`~repro.serve.api.table_fingerprint`
     The byte contract: a SHA-256 over schema + exact cell bytes, shared by
     scenario reports, HTTP ``fingerprint_only`` responses and the CI

@@ -172,10 +172,16 @@ def table_fingerprint(table: Table, state: Optional["hashlib._Hash"] = None) -> 
     """SHA-256 over a table's schema and exact column bytes.
 
     Numerical columns hash their float64 buffer (bit-exact), categorical
-    columns their NUL-joined string values — so two tables fingerprint
-    equal iff they are byte-identical in every cell.  Passing a running
-    ``state`` folds the table into an existing digest (the scenario engine
-    streams every served request through one hash).
+    columns their NUL-joined UTF-8 string values — so two tables
+    fingerprint equal iff they are byte-identical in every cell.  Passing a
+    running ``state`` folds the table into an existing digest (the scenario
+    engine streams every served request through one hash).
+
+    Categoricals never decode: each vocabulary entry is UTF-8 encoded once
+    and the codes gather the words.  The words come from
+    :meth:`~repro.tabular.table.CategoricalColumn.vocab_array`, so they are
+    exactly the strings ``table[name]`` would decode to (numpy strips
+    trailing NULs there).
     """
     own = state is None
     h = hashlib.sha256() if own else state
@@ -185,6 +191,10 @@ def table_fingerprint(table: Table, state: Optional["hashlib._Hash"] = None) -> 
         h.update(name.encode("utf-8"))
         h.update(np.ascontiguousarray(np.asarray(table[name], dtype=np.float64)).tobytes())
     for name in schema.categorical:
+        column = table.categorical_column(name)
+        words = np.asarray(
+            [word.encode("utf-8") for word in column.vocab_array().tolist()], dtype=object
+        )
         h.update(name.encode("utf-8"))
-        h.update("\x00".join(np.asarray(table[name]).astype(str).tolist()).encode("utf-8"))
+        h.update(b"\x00".join(words[column.codes].tolist()))
     return h.hexdigest() if own else ""

@@ -12,10 +12,13 @@ most free slots, a request naming its ``model`` is pinned but still counted.
 Routing never touches *bytes* — a request's result is a function of its own
 seed, whichever backend serves it.
 
-The HTTP endpoint is stdlib-only: an :mod:`asyncio` protocol server
-(started with :meth:`FrontDoor.start_http`) running on a background thread,
-speaking just enough HTTP/1.1 for clients like ``urllib`` — one request per
-connection, JSON in, JSON out.  Routes:
+The HTTP endpoint is an :mod:`asyncio` protocol server (started with
+:meth:`FrontDoor.start_http`) running on a background thread, speaking just
+enough HTTP/1.1 for clients like ``urllib`` — one request per connection,
+JSON in, JSON out.  Request bodies parse with stdlib :mod:`json`; response
+bodies are encoded by :mod:`orjson` (numerical columns straight from their
+float64 buffers) on executor threads, so the event loop only frames and
+writes bytes.  Routes:
 
 ``POST /sample``
     Body: a JSON object with the :class:`~repro.serve.api.RequestSpec`
@@ -23,7 +26,8 @@ connection, JSON in, JSON out.  Routes:
     ``priority``, ``deadline``) plus two routing extras — ``model`` (pin a
     backend) and ``fingerprint_only`` (return the table's SHA-256 instead
     of its columns).  Responses: ``200`` with ``{"fingerprint", "rows",
-    "model", "columns"?}``; ``400`` on a malformed spec; ``429`` with a
+    "model", "tenant", "columns"?}``; ``400`` on a malformed spec or
+    ``Content-Length``; ``429`` with a
     ``Retry-After`` header when admission control rejects
     (:class:`~repro.serve.admission.AdmissionRejected`) or the in-flight
     budget is full.  Blocking waits happen on executor threads, so slow
@@ -52,6 +56,7 @@ import threading
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
+import orjson
 
 from repro.obs.metrics import render_prometheus_multi
 from repro.scheduler.broker import BackendRouter, Broker
@@ -59,6 +64,7 @@ from repro.serve.admission import AdmissionRejected, ServiceOverloaded
 from repro.serve.api import RequestSpec, table_fingerprint
 from repro.serve.service import SampleRequest, SamplingService
 from repro.tabular.table import Table
+from repro.utils.logging import get_logger
 
 __all__ = ["FrontDoor", "FrontDoorTicket"]
 
@@ -70,6 +76,32 @@ _REASONS = {
     429: "Too Many Requests",
     500: "Internal Server Error",
 }
+
+_LOG = get_logger(__name__)
+
+_JSON = "application/json"
+_PROMETHEUS_TEXT = "text/plain; version=0.0.4; charset=utf-8"
+
+#: One encoded response: status, body bytes, content type, extra headers.
+Response = Tuple[int, bytes, str, Dict[str, str]]
+
+
+def _encode_json(payload: object) -> bytes:
+    """The one response encoder: ``orjson`` with numpy arrays serialized natively.
+
+    Floats are written as shortest round-trip decimals, so a client's
+    ``json.loads`` reproduces every float64 bit for bit.
+    """
+    return orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY)
+
+
+def _json_response(
+    status: int, payload: object, headers: Optional[Dict[str, str]] = None
+) -> Response:
+    return status, _encode_json(payload), _JSON, headers or {}
+
+
+_INTERNAL_ERROR = _json_response(500, {"error": "internal server error"})
 
 
 class FrontDoorTicket:
@@ -288,73 +320,74 @@ class FrontDoor:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One HTTP/1.1 exchange: parse, route, respond, close."""
-        status, payload, extra = 500, {"error": "internal server error"}, {}
+        """One HTTP/1.1 exchange: read, route, write the encoded response, close."""
+        response: Optional[Response] = None
         try:
-            request_line = await reader.readline()
-            parts = request_line.decode("latin-1").split()
-            if len(parts) < 2:
-                return  # connection opened and dropped; nothing to answer
-            method, path = parts[0].upper(), parts[1].split("?", 1)[0]
-            headers: Dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or "0")
-            body = await reader.readexactly(length) if length > 0 else b""
-            status, payload, extra = await self._route(method, path, body)
+            response = await self._read_and_route(reader)
         except Exception:
-            pass  # fall through to the 500 defaults
+            _LOG.exception("HTTP request failed; answering 500")
+            response = _INTERNAL_ERROR
         finally:
-            with contextlib.suppress(Exception):
-                # str payloads ship raw (the Prometheus text page); anything
-                # else is JSON.
-                if isinstance(payload, str):
-                    data = payload.encode("utf-8")
-                    content_type = "text/plain; version=0.0.4; charset=utf-8"
-                else:
-                    data = json.dumps(payload).encode("utf-8")
-                    content_type = "application/json"
-                head = (
-                    f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-                    f"Content-Type: {content_type}\r\n"
-                    f"Content-Length: {len(data)}\r\n"
-                    "Connection: close\r\n"
-                )
-                for name, value in extra.items():
-                    head += f"{name}: {value}\r\n"
-                writer.write(head.encode("latin-1") + b"\r\n" + data)
-                await writer.drain()
+            if response is not None:
+                with contextlib.suppress(Exception):
+                    status, data, content_type, extra = response
+                    head = (
+                        f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+                        f"Content-Type: {content_type}\r\n"
+                        f"Content-Length: {len(data)}\r\n"
+                        "Connection: close\r\n"
+                    )
+                    for name, value in extra.items():
+                        head += f"{name}: {value}\r\n"
+                    writer.write(head.encode("latin-1") + b"\r\n" + data)
+                    await writer.drain()
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
 
-    async def _route(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Union[Dict[str, object], str], Dict[str, str]]:
+    async def _read_and_route(self, reader: asyncio.StreamReader) -> Optional[Response]:
+        """Parse one request off the stream and route it (``None``: nothing to answer)."""
+        request_line = await reader.readline()
+        parts = request_line.decode("latin-1").split()
+        if len(parts) < 2:
+            return None  # connection opened and dropped
+        method, path = parts[0].upper(), parts[1].split("?", 1)[0]
+        headers: Dict[str, str] = {}
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        declared = headers.get("content-length", "0") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            return _json_response(400, {"error": f"invalid Content-Length {declared!r}"})
+        body = await reader.readexactly(length) if length > 0 else b""
+        return await self._route(method, path, body)
+
+    async def _route(self, method: str, path: str, body: bytes) -> Response:
         if path == "/sample":
             if method != "POST":
-                return 405, {"error": "POST only"}, {"Allow": "POST"}
+                return _json_response(405, {"error": "POST only"}, {"Allow": "POST"})
             # The whole serve — JSON parse, admission, the blocking wait for
-            # the table — runs on an executor thread; the event loop only
-            # shuttles bytes.
+            # the table, fingerprint and response encode — runs on an
+            # executor thread; the event loop only shuttles bytes.
             loop = asyncio.get_running_loop()
             return await loop.run_in_executor(None, self._sample_response, body)
         if method != "GET":
-            return 405, {"error": "GET only"}, {"Allow": "GET"}
+            return _json_response(405, {"error": "GET only"}, {"Allow": "GET"})
         if path == "/stats":
             loop = asyncio.get_running_loop()
-            stats = await loop.run_in_executor(None, self.stats)
-            return 200, stats, {}
+            return await loop.run_in_executor(None, self._stats_response)
         if path == "/metrics":
             loop = asyncio.get_running_loop()
-            text = await loop.run_in_executor(None, self._metrics_page)
-            return 200, text, {}
+            return await loop.run_in_executor(None, self._metrics_response)
         if path == "/models":
-            return (
+            return _json_response(
                 200,
                 {
                     "models": {
@@ -365,11 +398,16 @@ class FrontDoor:
                         for name, service in self._services.items()
                     }
                 },
-                {},
             )
         if path == "/healthz":
-            return 200, {"status": "ok", "models": self.models}, {}
-        return 404, {"error": f"no route for {path}"}, {}
+            return _json_response(200, {"status": "ok", "models": self.models})
+        return _json_response(404, {"error": f"no route for {path}"})
+
+    def _stats_response(self) -> Response:
+        return _json_response(200, self.stats())
+
+    def _metrics_response(self) -> Response:
+        return 200, self._metrics_page().encode("utf-8"), _PROMETHEUS_TEXT, {}
 
     def _metrics_page(self) -> str:
         """The Prometheus text page over every backend's registry.
@@ -384,7 +422,7 @@ class FrontDoor:
             {name: service.metrics for name, service in self._services.items()}
         )
 
-    def _sample_response(self, body: bytes) -> Tuple[int, Dict[str, object], Dict[str, str]]:
+    def _sample_response(self, body: bytes) -> Response:
         """The blocking half of ``POST /sample`` (runs on executor threads)."""
         try:
             raw = json.loads(body.decode("utf-8")) if body else {}
@@ -394,36 +432,64 @@ class FrontDoor:
             fingerprint_only = bool(raw.pop("fingerprint_only", False))
             spec = RequestSpec.from_payload(raw)
         except (ValueError, TypeError, KeyError) as exc:
-            return 400, {"error": str(exc)}, {}
+            return _json_response(400, {"error": str(exc)})
         try:
             ticket = self.submit(spec, model=str(model) if model is not None else None)
             table = ticket.result()
         except AdmissionRejected as exc:
-            return (
+            return _json_response(
                 429,
                 {"error": str(exc), "reason": exc.reason, "retry_after": exc.retry_after},
                 {"Retry-After": f"{max(1, round(exc.retry_after))}"},
             )
         except ServiceOverloaded as exc:
-            return 429, {"error": str(exc), "reason": "overloaded"}, {"Retry-After": "1"}
+            return _json_response(
+                429, {"error": str(exc), "reason": "overloaded"}, {"Retry-After": "1"}
+            )
         except KeyError as exc:
-            return 400, {"error": str(exc)}, {}
-        payload: Dict[str, object] = {
-            "fingerprint": table_fingerprint(table),
-            "rows": table.n_rows,
-            "model": ticket.backend,
-            "tenant": spec.tenant,
-        }
-        if not fingerprint_only:
-            payload["columns"] = _columns_payload(table)
-        return 200, payload, {}
+            return _json_response(400, {"error": str(exc)})
+        body = _sample_body(
+            table, model=ticket.backend, tenant=spec.tenant, columns=not fingerprint_only
+        )
+        return 200, body, _JSON, {}
 
 
-def _columns_payload(table: Table) -> Dict[str, List[object]]:
-    """JSON-ready columns: numerical as floats, categorical as strings."""
-    columns: Dict[str, List[object]] = {}
+def _sample_body(table: Table, *, model: str, tenant: str, columns: bool) -> bytes:
+    """The encoded ``200`` body of ``POST /sample``.
+
+    ``{"fingerprint", "rows", "model", "tenant"}`` plus, when ``columns``,
+    the table's cells (see :func:`_columns_payload`).  Numerical cells must
+    be finite: JSON has no NaN or infinity, and ``orjson`` writes them as
+    ``null``.  Every surrogate guarantees finite output in every sampling
+    mode (``tests/test_degenerate_inputs.py``).
+    """
+    payload: Dict[str, object] = {
+        "fingerprint": table_fingerprint(table),
+        "rows": table.n_rows,
+        "model": model,
+        "tenant": tenant,
+    }
+    if columns:
+        payload["columns"] = _columns_payload(table)
+    return _encode_json(payload)
+
+
+def _columns_payload(table: Table) -> Dict[str, object]:
+    """Columns ready for :func:`_encode_json`, built without per-cell decoding.
+
+    Numerical columns stay contiguous float64 arrays, which ``orjson``
+    serializes from the buffer.  Categorical columns are a gather of the
+    vocabulary (as an object array of ``str``) over the codes: the list
+    shares one string object per category, and no cell is decoded.  The
+    words come from ``vocab_array()``, so a client that rebuilds the
+    :class:`~repro.tabular.table.Table` from them reproduces the
+    fingerprint.
+    """
+    columns: Dict[str, object] = {}
     for name in table.schema.numerical:
-        columns[name] = np.asarray(table[name], dtype=np.float64).tolist()
+        columns[name] = np.ascontiguousarray(table[name], dtype=np.float64)
     for name in table.schema.categorical:
-        columns[name] = np.asarray(table[name]).astype(str).tolist()
+        column = table.categorical_column(name)
+        words = np.asarray(column.vocab_array().tolist(), dtype=object)
+        columns[name] = words[column.codes].tolist()
     return columns

@@ -28,6 +28,9 @@ transport — computes on ``table.codes(name)`` / ``table.codes_matrix()``
 against ``table.vocab(name)`` without materialising strings.  String arrays
 exist only at the API edge (``table[name]``, ``to_dict``, ``row``, CSV),
 where :meth:`CategoricalColumn.decode` lazily builds and caches them.  The
+HTTP edge does not decode either: ``table_fingerprint`` hashes UTF-8
+vocabulary words gathered over the codes, and ``POST /sample`` bodies
+gather the vocabulary strings over the codes the same way.  The
 refactor is bit-invisible: every codes path reproduces the old string-path
 arithmetic exactly (``tests/test_perf_equivalence.py``,
 ``tests/test_sampling_equivalence.py``), and

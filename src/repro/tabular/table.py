@@ -18,8 +18,9 @@ Categorical data lives as integer codes from construction to consumption:
   happens at model boundaries.
 * **Decode at the edge**: strings materialise only where a consumer really
   needs labels — ``__getitem__`` (the backward-compatible column view),
-  ``to_records``, CSV writing, fingerprinting.  The decode is lazy and
-  cached per column, so codes-only pipelines never pay it.
+  ``to_records``, CSV writing.  The decode is lazy and cached per column,
+  so codes-only pipelines never pay it.  ``table_fingerprint`` and the
+  HTTP column bodies gather vocabulary words over the codes instead.
 * Summaries (``value_counts``, ``nunique``) count via ``np.bincount`` on
   codes, with results ordered exactly as the historical string-based
   implementations produced them.

@@ -7,6 +7,7 @@ import guard.
 """
 
 import os
+import re
 
 import pytest
 
@@ -256,3 +257,19 @@ class TestWorkflowDocument:
     def test_requirements_file_exists(self):
         path = os.path.join(REPO_ROOT, ".github", "workflows", "requirements-ci.txt")
         assert os.path.exists(path)
+
+    def test_requirements_file_lists_every_runtime_dependency(self):
+        # A text check (tomllib is 3.11+, and the matrix includes 3.10): each
+        # requirement in pyproject.toml's [project] dependencies array must
+        # appear verbatim as a line of the CI requirements file.
+        with open(os.path.join(REPO_ROOT, "pyproject.toml"), "r", encoding="utf-8") as fh:
+            pyproject = fh.read()
+        block = re.search(r"^dependencies = \[(.*?)^\]", pyproject, re.MULTILINE | re.DOTALL)
+        assert block, "pyproject.toml has no [project] dependencies array"
+        dependencies = re.findall(r'"([^"]+)"', block.group(1))
+        assert {"numpy", "scipy", "orjson"} <= {re.split(r"[<>=!~ ]", dep)[0] for dep in dependencies}
+        path = os.path.join(REPO_ROOT, ".github", "workflows", "requirements-ci.txt")
+        with open(path, "r", encoding="utf-8") as fh:
+            listed = {line.strip() for line in fh if line.strip() and not line.startswith("#")}
+        missing = [dep for dep in dependencies if dep not in listed]
+        assert not missing, f"requirements-ci.txt lacks runtime dependencies {missing}"

@@ -74,3 +74,32 @@ class TestAblationCLI:
         payload = json.loads(capsys.readouterr().out)
         assert "smote_k" in payload
         assert len(payload["smote_k"]) >= 2
+
+
+class TestServeHttpCLI:
+    SERVE = [
+        "serve", *FAST, "--models", "smote", "--http", "--requests", "4",
+        "--serve-rows", "400", "--workers", "1", "--chunk-size", "64", "--json",
+    ]
+
+    def test_front_door_smoke_verifies_a_column_body(self, capsys):
+        assert cli_main(self.SERVE) == 0
+        http = json.loads(capsys.readouterr().out)["http"]
+        assert http["verified"] and http["mismatches"] == 0
+
+    def test_corrupted_column_body_fails_the_smoke(self, capsys, monkeypatch):
+        import repro.serve.http as http_module
+
+        original = http_module._columns_payload
+
+        def corrupted(table):
+            columns = original(table)
+            name = table.schema.numerical[0]
+            columns[name] = columns[name] + 1.0
+            return columns
+
+        monkeypatch.setattr(http_module, "_columns_payload", corrupted)
+        assert cli_main(self.SERVE) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["http"]["mismatches"] == 1
+        assert "diverged" in captured.err

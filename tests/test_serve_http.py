@@ -8,18 +8,26 @@ Four layers, bottom up:
   surface warns but returns byte-identical tables;
 * :class:`BackendRouter` — least-loaded placement across named backends,
   pinning, slot release;
-* :class:`FrontDoor` — multi-backend routing plus the stdlib HTTP
-  endpoint: a served table round-trips through JSON byte-identically
-  (same fingerprint), admission rejections surface as ``429`` with a
+* :class:`FrontDoor` — multi-backend routing plus the HTTP endpoint: a
+  served table round-trips through JSON byte-identically (same
+  fingerprint), admission rejections surface as ``429`` with a
   ``Retry-After`` header, malformed requests as ``400``.
+
+The codes-based :func:`table_fingerprint` is checked byte for byte against
+the string-join implementation it replaced, and the ``orjson`` response
+body against edge-case floats and strings.
 """
 
+import hashlib
 import json
+import socket
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.models.tvae import TVAEConfig, TVAESurrogate
 from repro.scheduler.broker import BackendRouter
@@ -32,8 +40,9 @@ from repro.serve import (
     priority_weight,
     table_fingerprint,
 )
+from repro.serve.http import _sample_body
 from repro.tabular.schema import TableSchema
-from repro.tabular.table import Table
+from repro.tabular.table import CategoricalColumn, Table
 
 CHUNK = 50
 
@@ -73,10 +82,133 @@ def _post(address, path, payload, timeout=30.0):
         return response.status, json.loads(response.read().decode("utf-8")), response.headers
 
 
+def _raw_request(address, request: bytes, timeout=30.0):
+    """Send raw request bytes; return (status, parsed JSON body)."""
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body.decode("utf-8"))
+
+
 def _get(address, path, timeout=30.0):
     host, port = address
     with urllib.request.urlopen(f"http://{host}:{port}{path}", timeout=timeout) as response:
         return response.status, json.loads(response.read().decode("utf-8"))
+
+
+def _reference_fingerprint(table, state=None):
+    """The string-join fingerprint the codes path replaced (kept as the oracle)."""
+    h = hashlib.sha256() if state is None else state
+    schema = table.schema
+    h.update(("|".join(schema.names) + f"#{table.n_rows}").encode("utf-8"))
+    for name in schema.numerical:
+        h.update(name.encode("utf-8"))
+        h.update(np.ascontiguousarray(np.asarray(table[name], dtype=np.float64)).tobytes())
+    for name in schema.categorical:
+        h.update(name.encode("utf-8"))
+        h.update("\x00".join(np.asarray(table[name]).astype(str).tolist()).encode("utf-8"))
+    return h.hexdigest() if state is None else ""
+
+
+_WORDS = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6)
+#: Vocabulary entries the string path treats specially: quotes, backslashes,
+#: the empty string, non-ASCII text and a trailing-NUL pair that numpy's
+#: unicode arrays fold together.
+_SPECIAL_WORDS = ["a", "a\x00", "", '"', "\\", "é", "日本", "\x00"]
+
+
+@st.composite
+def _categorical_tables(draw):
+    vocab = draw(
+        st.lists(st.sampled_from(_SPECIAL_WORDS) | _WORDS, min_size=1, max_size=8, unique=True)
+    )
+    sizes = draw(st.lists(st.integers(0, 30), min_size=1, max_size=3))
+    schema = TableSchema.from_columns(numerical=["x"], categorical=["cat"])
+    chunks = []
+    for size in sizes:
+        codes = draw(st.lists(st.integers(0, len(vocab) - 1), min_size=size, max_size=size))
+        x = draw(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=size, max_size=size)
+        )
+        chunks.append(Table({"x": x, "cat": CategoricalColumn(codes, vocab)}, schema))
+    return Table.concat(chunks)
+
+
+class TestFingerprint:
+    @settings(max_examples=150, deadline=None)
+    @given(_categorical_tables())
+    def test_codes_path_matches_string_join(self, table):
+        assert table_fingerprint(table) == _reference_fingerprint(table)
+
+    def test_empty_tables_and_shared_vocab_chunks(self):
+        schema = TableSchema.from_columns(numerical=["x"], categorical=["cat", "site"])
+        empty = Table.empty(schema)
+        assert table_fingerprint(empty) == _reference_fingerprint(empty)
+        vocab = ("a", "a\x00", "", "é")
+        chunks = [
+            Table(
+                {
+                    "x": np.arange(n, dtype=np.float64),
+                    "cat": CategoricalColumn(np.arange(n) % len(vocab), vocab),
+                    "site": CategoricalColumn(np.zeros(n, dtype=np.int32), ("s0",)),
+                },
+                schema,
+            )
+            for n in (0, 3, 5)
+        ]
+        joined = Table.concat(chunks)
+        assert joined.vocab("cat") == vocab  # shared vocabulary: codes concatenated as-is
+        assert table_fingerprint(joined) == _reference_fingerprint(joined)
+
+    def test_running_state_folds_tables_in_order(self):
+        state, reference = hashlib.sha256(), hashlib.sha256()
+        for n, seed in ((10, 1), (0, 2), (25, 3)):
+            table = _table(n, seed)
+            assert table_fingerprint(table, state) == ""
+            _reference_fingerprint(table, reference)
+        assert state.hexdigest() == reference.hexdigest()
+
+
+class TestSampleBody:
+    def test_edge_values_round_trip_to_the_same_fingerprint(self):
+        # Rebuild the table from the parsed body the way a JSON client does
+        # (perfbench/run.py): float64 arrays for numericals, string lists
+        # for categoricals.
+        schema = TableSchema.from_columns(numerical=["x"], categorical=["cat"])
+        values = [-0.0, 5e-324, 1e16, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+        table = Table(
+            {"x": values, "cat": CategoricalColumn([0, 1, 2, 2, 1, 0], ("é", '"', "\\"))},
+            schema,
+        )
+        body = _sample_body(table, model="prod", tenant="acme", columns=True)
+        payload = json.loads(body)
+        assert (payload["rows"], payload["model"], payload["tenant"]) == (6, "prod", "acme")
+        assert payload["fingerprint"] == table_fingerprint(table)
+        assert payload["columns"]["cat"] == ["é", '"', "\\", "\\", '"', "é"]
+        rebuilt = Table(
+            {
+                "x": np.asarray(payload["columns"]["x"], dtype=np.float64),
+                "cat": payload["columns"]["cat"],
+            },
+            schema,
+        )
+        np.testing.assert_array_equal(rebuilt["x"].view(np.int64), table["x"].view(np.int64))
+        assert table_fingerprint(rebuilt) == payload["fingerprint"]
+
+    def test_fingerprint_only_body_and_empty_table(self):
+        schema = TableSchema.from_columns(numerical=["x"], categorical=["cat"])
+        empty = Table.empty(schema)
+        payload = json.loads(_sample_body(empty, model="m", tenant="t", columns=True))
+        assert payload["columns"] == {"x": [], "cat": []}
+        assert payload["fingerprint"] == table_fingerprint(empty)
+        payload = json.loads(_sample_body(empty, model="m", tenant="t", columns=False))
+        assert set(payload) == {"fingerprint", "rows", "model", "tenant"}
 
 
 class TestRequestSpec:
@@ -257,6 +389,21 @@ class TestHttpEndpoint:
         with pytest.raises(urllib.error.HTTPError) as wrong_method:
             _get(door.address, "/sample")
         assert wrong_method.value.code == 405
+
+    @pytest.mark.parametrize("length", ["ten", "-5", "1.5"])
+    def test_bad_content_length_is_a_400(self, door, length):
+        request = (
+            "POST /sample HTTP/1.1\r\n"
+            "Host: localhost\r\n"
+            f"Content-Length: {length}\r\n"
+            "Connection: close\r\n\r\n"
+        ).encode("latin-1")
+        status, payload = _raw_request(door.address, request)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        # The endpoint keeps serving after the bad request.
+        status, health = _get(door.address, "/healthz")
+        assert status == 200 and health["status"] == "ok"
 
     def test_admission_rejection_maps_to_429_with_retry_after(self, tvae):
         # max_queue_depth=0 rejects every request up front: the clean way to
