@@ -31,11 +31,19 @@ parent unwraps it in ``decode_chunk`` and folds the spans into its
 :class:`Tracer`.  The payload bytes are untouched, which is why scenario
 fingerprints are identical with tracing on or off.
 
+Instrumentation sites record through a :class:`TraceContext` bound to one
+trace: :func:`request_context` builds it once per request (from the seed),
+:func:`chunk_context` once per chunk (from the ``SeedSequence`` child).
+The context knows the ID scheme above, so a site names its span and
+passes a ``perf_counter`` stamp instead of deriving IDs and converting
+clocks itself.  When no tracer is
+installed the sites get the null context, which derives no IDs, reads no
+clocks and records nothing — the same call is the whole disabled path.
+
 A :class:`Tracer` is an append-only, thread-safe span buffer with two
 export formats: JSONL (one span per line) and the Chrome ``trace_event``
-JSON that Perfetto / ``chrome://tracing`` load directly.  When no tracer
-is installed every instrumentation site is a single ``is None`` check —
-the ``serve_traced`` benchmark kernel gates the enabled overhead at ≤5%.
+JSON that Perfetto / ``chrome://tracing`` load directly.  The
+``serve_traced`` benchmark kernel gates the enabled overhead at ≤5%.
 """
 
 from __future__ import annotations
@@ -45,17 +53,21 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import ContextManager, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
+    "NULL_TRACE",
     "Span",
+    "TraceContext",
     "TracedChunk",
     "Tracer",
+    "chunk_context",
     "chunk_span_id",
+    "request_context",
     "request_span_id",
     "span_id",
     "trace_id_from_child",
@@ -168,6 +180,14 @@ class TracedChunk:
     payload: object
     spans: List[Span] = field(default_factory=list)
 
+    def adopt(self, tracer: Optional["Tracer"]) -> "TraceContext":
+        """Fold the worker spans into ``tracer``; returns the chunk's context."""
+        if tracer is None or not self.spans:
+            return NULL_TRACE
+        tracer.extend(self.spans)
+        first = self.spans[0]
+        return TraceContext(tracer, first.trace_id, first.attrs.get("chunk", 0))
+
 
 def make_span(
     name: str,
@@ -195,8 +215,9 @@ def make_span(
 class Tracer:
     """Append-only, thread-safe span collector.
 
-    Instrumentation sites hold an ``Optional[Tracer]`` and skip all work
-    when it is ``None`` — the disabled path is one attribute check.
+    Instrumentation sites do not hold a tracer directly: they record
+    through a :class:`TraceContext`, and get the null context when no
+    tracer is installed.
     """
 
     def __init__(self) -> None:
@@ -241,31 +262,6 @@ class Tracer:
                 attrs=attrs,
             )
         )
-
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        trace_id: str,
-        *,
-        span_id: str,
-        parent_id: Optional[str] = None,
-        attrs: Optional[Dict[str, object]] = None,
-    ) -> Iterator[None]:
-        start_wall = time.time()
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record_span(
-                name,
-                trace_id,
-                span_id=span_id,
-                parent_id=parent_id,
-                start=start_wall,
-                duration=time.perf_counter() - start,
-                attrs=attrs,
-            )
 
     def spans(self) -> List[Span]:
         with self._lock:
@@ -330,3 +326,128 @@ class Tracer:
         if str(path).endswith(".json"):
             return self.export_chrome(path)
         return self.export_jsonl(path)
+
+
+class TraceContext:
+    """Span recording bound to one trace: a request, or one chunk of it.
+
+    Every span recorded here hangs under the context's *scope* span — the
+    request root for a request context, ``chunk[i]`` for a chunk context —
+    and, unless given, its ID is the span name (plus the chunk index)
+    hashed into the trace.  ``scope=True`` records the scope span itself
+    (the root has no parent; a chunk span's parent is the root).
+    """
+
+    __slots__ = ("tracer", "trace_id", "chunk", "request_span_id", "scope_id")
+
+    def __init__(self, tracer: Tracer, trace_id: str, chunk: Optional[int] = None) -> None:
+        self.tracer = tracer
+        self.trace_id = trace_id
+        self.chunk = chunk
+        self.request_span_id = request_span_id(trace_id)
+        self.scope_id = (
+            self.request_span_id if chunk is None else chunk_span_id(trace_id, chunk)
+        )
+
+    def span_id(self, *parts: object) -> str:
+        return span_id(self.trace_id, *parts)
+
+    def now(self) -> float:
+        """A ``perf_counter`` stamp to pass to :meth:`record` later."""
+        return time.perf_counter()
+
+    def record(
+        self,
+        name: str,
+        started: float,
+        *,
+        span_id: Optional[str] = None,
+        scope: bool = False,
+        duration: Optional[float] = None,
+        attrs: Optional[Dict[str, object]] = None,
+    ) -> None:
+        """Record a span that started at the ``perf_counter`` stamp ``started``
+        and lasted ``duration`` seconds (default: until now)."""
+        now = time.perf_counter()
+        if scope:
+            span_id = self.scope_id
+            parent_id = None if self.chunk is None else self.request_span_id
+        else:
+            if span_id is None:
+                span_id = self.span_id(name) if self.chunk is None else self.span_id(name, self.chunk)
+            parent_id = self.scope_id
+        self.tracer.record(
+            make_span(
+                name,
+                self.trace_id,
+                span_id=span_id,
+                parent_id=parent_id,
+                start=time.time() - (now - started),
+                duration=now - started if duration is None else duration,
+                attrs=attrs,
+            )
+        )
+
+    @contextmanager
+    def span(
+        self, name: str, *, scope: bool = False, attrs: Optional[Dict[str, object]] = None
+    ) -> Iterator[None]:
+        """Time the ``with`` block as one span (recorded even if it raises)."""
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.record(name, started, scope=scope, attrs=attrs)
+
+
+class _NullTraceContext(TraceContext):
+    """The disabled :class:`TraceContext`: derives no IDs, reads no clocks,
+    records nothing."""
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        pass
+
+    def span_id(self, *parts: object) -> str:
+        return ""
+
+    def now(self) -> float:
+        return 0.0
+
+    def record(self, name: str, started: float, **kwargs: object) -> None:
+        pass
+
+    def span(self, name: str, **kwargs: object) -> ContextManager[None]:
+        return _NULL_SPAN
+
+
+_NULL_SPAN = nullcontext()
+
+#: The context every site records through when tracing is off.
+NULL_TRACE = _NullTraceContext()
+
+
+def request_context(
+    tracer: Optional[Tracer], seed: object, children: Sequence[np.random.SeedSequence] = ()
+) -> TraceContext:
+    """The request-scoped context (the null context without a tracer).
+
+    The trace ID comes from the first chunk child when the request has one
+    (so worker spans stitch under it even for a ``None`` seed), else from
+    the seed.
+    """
+    if tracer is None:
+        return NULL_TRACE
+    trace_id = trace_id_from_child(children[0]) if children else trace_id_from_seed(seed)
+    return TraceContext(tracer, trace_id)
+
+
+def chunk_context(
+    tracer: Optional[Tracer], child: np.random.SeedSequence, index: int
+) -> TraceContext:
+    """Chunk ``index``'s context, derived from its seed child alone — the
+    parent and a worker build the same one."""
+    if tracer is None:
+        return NULL_TRACE
+    return TraceContext(tracer, trace_id_from_child(child), index)

@@ -252,8 +252,8 @@ class ScenarioEngine:
             report.registry_versions.append(canary_version)
             front_door = FrontDoor(services)
         report.workers = services["prod"].workers
-        tenant_waits: Dict[str, List[float]] = {}
-        all_waits: List[float] = []
+        tenant_latencies: Dict[str, List[float]] = {}
+        all_latencies: List[float] = []
         try:
             for tick in range(spec.ticks):
                 # 1. Chaos: (re-)arm the fault plan at scheduled ticks, closing
@@ -318,10 +318,10 @@ class ScenarioEngine:
                     report.requests_served += 1
                     report.rows_served += table.n_rows
                     table_fingerprint(table, fingerprint)
-                    wait = handle.latency
-                    if wait is not None:
-                        all_waits.append(wait)
-                        tenant_waits.setdefault(request.tenant, []).append(wait)
+                    latency = handle.latency
+                    if latency is not None:
+                        all_latencies.append(latency)
+                        tenant_latencies.setdefault(request.tenant, []).append(latency)
 
                 # 3. Observation: one window through the drift monitor.
                 window = stream.window(tick)
@@ -368,15 +368,15 @@ class ScenarioEngine:
                 s.cancelled_requests for s in all_stats.values()
             )
             report.model_swaps = sum(svc.model_swaps for svc in services.values())
-            report.p50_latency = _percentile(all_waits, 0.50)
-            report.p95_latency = _percentile(all_waits, 0.95)
-            report.tenant_waits = {
+            report.p50_latency = _percentile(all_latencies, 0.50)
+            report.p95_latency = _percentile(all_latencies, 0.95)
+            report.tenant_latencies = {
                 tenant: {
-                    "requests": float(len(waits)),
-                    "p50_wait_s": _percentile(waits, 0.50),
-                    "p95_wait_s": _percentile(waits, 0.95),
+                    "requests": float(len(latencies)),
+                    "p50_latency_s": _percentile(latencies, 0.50),
+                    "p95_latency_s": _percentile(latencies, 0.95),
                 }
-                for tenant, waits in sorted(tenant_waits.items())
+                for tenant, latencies in sorted(tenant_latencies.items())
             }
             if front_door is not None:
                 report.service_stats = front_door.stats()

@@ -10,22 +10,14 @@ benchmarks:
 * :class:`DataLocalityBroker` — prefer sites "hosting" the job's project
   (a deterministic project→site affinity standing in for replica placement),
   falling back to the least-loaded choice when the preferred sites are full.
-
-The same policies broker *real* serving traffic: :class:`BackendRouter`
-models each model-serving backend as a one-site "grid" (capacity = the
-backend's concurrency budget) and places live sampling requests with any
-:class:`Broker` — the serving front door routes multi-model traffic through
-it with the default :class:`LeastLoadedBroker`.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.panda.sites import ComputingSite, SiteCatalog
 from repro.scheduler.cluster import GridCluster
 from repro.scheduler.jobs import SimulatedJob
 from repro.utils.rng import SeedLike, as_rng, derive_seed
@@ -121,108 +113,6 @@ class DataLocalityBroker(Broker):
             best = max(candidates, key=lambda s: (s.free_cores, s.site.hs23_per_core))
             return best.site.name
         return self._fallback.select_site(job, cluster)
-
-
-class BackendRouter:
-    """Broker live serving requests across named backends with grid policies.
-
-    Each backend (a model replica, a registry stage, a shard) becomes one
-    :class:`~repro.panda.sites.ComputingSite` whose core count is the
-    backend's concurrency budget, and in-flight requests are one-core
-    :class:`SimulatedJob` placements made by a :class:`Broker` (default:
-    :class:`LeastLoadedBroker`, so a request goes to the backend with the
-    most free slots).  The router keeps its own monotonic event clock — the
-    cluster's time axis orders allocate/release events, it never measures
-    wall time — and is thread-safe: the front door acquires a slot per
-    submitted request and releases it when the request resolves.
-    """
-
-    #: Queue slots per declared concurrency unit: admission control bounds
-    #: real overload, so routing capacity is deliberately soft — the router
-    #: ranks relative load, it does not reject.
-    SLOTS_PER_WORKER = 64
-
-    def __init__(
-        self,
-        backends: Mapping[str, int],
-        *,
-        broker: Optional[Broker] = None,
-        slots_per_worker: int = SLOTS_PER_WORKER,
-    ) -> None:
-        if not backends:
-            raise ValueError("BackendRouter requires at least one backend")
-        if slots_per_worker < 1:
-            raise ValueError(f"slots_per_worker must be positive, got {slots_per_worker}")
-        sites = [
-            ComputingSite(
-                name=name,
-                hs23_per_core=1.0,
-                n_cores=max(1, int(workers)) * slots_per_worker,
-                reliability=1.0,
-                region="SERVING",
-            )
-            for name, workers in backends.items()
-        ]
-        self._cluster = GridCluster(SiteCatalog(sites), capacity_scale=1.0, min_capacity=1)
-        self._broker = broker if broker is not None else LeastLoadedBroker()
-        self._lock = threading.Lock()
-        self._clock = 0.0
-        self._job_counter = 0
-
-    @property
-    def backends(self) -> List[str]:
-        return self._cluster.names
-
-    def _tick(self) -> float:
-        self._clock += 1.0
-        return self._clock
-
-    def acquire(self, *, rows: int = 1, project: str = "", backend: Optional[str] = None) -> str:
-        """Pick a backend for one request and occupy a slot on it.
-
-        With ``backend`` the caller pins the placement (a request naming its
-        model explicitly); the slot is still occupied so the policy keeps an
-        honest view of that backend's load.  Without it, the configured
-        :class:`Broker` chooses — falling back to the first backend if the
-        policy abstains (only possible when every slot of every backend is
-        occupied; admission control is the layer that should have said no
-        by then).
-        """
-        with self._lock:
-            if backend is not None:
-                state = self._cluster[backend]  # KeyError on unknown backends
-                if state.free_cores >= 1:
-                    state.allocate(1, self._tick())
-                return backend
-            self._job_counter += 1
-            job = SimulatedJob(
-                job_id=self._job_counter,
-                arrival_time=self._clock,
-                cores=1,
-                workload=float(max(rows, 1)),
-                project=project,
-            )
-            name = self._broker.select_site(job, self._cluster)
-            if name is None:
-                name = self._cluster.names[0]
-            else:
-                self._cluster[name].allocate(1, self._tick())
-            return name
-
-    def release(self, name: str) -> None:
-        """Free the slot a completed request held on ``name`` (idempotent
-        for over-releases: a fully idle backend stays idle)."""
-        with self._lock:
-            state = self._cluster[name]
-            if state.busy_cores > 0:
-                state.release(1, self._tick())
-
-    def load(self) -> Dict[str, int]:
-        """In-flight requests per backend (the routing signal, for stats)."""
-        with self._lock:
-            return {
-                name: state.busy_cores for name, state in self._cluster.sites.items()
-            }
 
 
 def make_broker(name: str, cluster: GridCluster, *, seed: SeedLike = None) -> Broker:

@@ -107,9 +107,8 @@ a request is served, never *what*:
     :data:`~repro.serve.api.PRIORITY_CLASSES` (``interactive`` weight 4 >
     ``normal`` 2 > ``batch`` 1); the dispatcher runs start-time weighted
     fair queueing over ``(tenant, priority)`` flows, so a bursty tenant
-    cannot starve a steady one.  The legacy positional
-    ``submit(n, seed=..., sampling_mode=...)`` surface still works and
-    emits a :class:`DeprecationWarning`.
+    cannot starve a steady one.  ``submit(n, seed=..., ...)`` with
+    keyword knobs builds the spec for you.
 :class:`~repro.serve.admission.AdmissionPolicy` /
 :class:`~repro.serve.admission.AdmissionRejected`
     SLO-aware admission control: reject (instead of queue) on queue-depth
@@ -124,11 +123,10 @@ a request is served, never *what*:
 :class:`~repro.serve.http.FrontDoor`
     The async multi-tenant front door: routes requests across named
     backend services (registry stages ``prod``/``canary`` serving
-    concurrently) via a :class:`~repro.scheduler.broker.BackendRouter`
-    driven by the scheduler's ``LeastLoadedBroker``, and optionally speaks
-    HTTP (``POST /sample``, ``GET /stats|/models|/metrics|/healthz``) from
-    a background asyncio thread, with ``orjson`` response bodies encoded
-    on executor threads.
+    concurrently) to the backend with the fewest requests in flight, and
+    optionally speaks HTTP (``POST /sample``,
+    ``GET /stats|/models|/metrics|/healthz``) from a background asyncio
+    thread, with ``orjson`` response bodies encoded on executor threads.
 :func:`~repro.serve.api.table_fingerprint`
     The byte contract: a SHA-256 over schema + exact cell bytes, shared by
     scenario reports, HTTP ``fingerprint_only`` responses and the CI

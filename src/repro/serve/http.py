@@ -4,13 +4,11 @@
 submissions out across named backends — one
 :class:`~repro.serve.service.SamplingService` per served model or registry
 stage (``prod`` / ``canary`` serving concurrently is the canonical shape).
-Placement goes through a :class:`~repro.scheduler.broker.BackendRouter`,
-which models each backend as a one-site grid and brokers every request with
-the same :class:`~repro.scheduler.broker.LeastLoadedBroker` policy the
-scheduler benchmarks use: an unpinned request lands on the backend with the
-most free slots, a request naming its ``model`` is pinned but still counted.
-Routing never touches *bytes* — a request's result is a function of its own
-seed, whichever backend serves it.
+Placement keeps one in-flight count per backend: an unpinned request lands
+on the backend with the fewest requests in flight (ties go to the first
+registered), and a request naming its ``model`` is pinned but still
+counted.  Routing never touches *bytes* — a request's result is a function
+of its own seed, whichever backend serves it.
 
 The HTTP endpoint is an :mod:`asyncio` protocol server (started with
 :meth:`FrontDoor.start_http`) running on a background thread, speaking just
@@ -34,8 +32,8 @@ writes bytes.  Routes:
     requests never stall the accept loop.
 ``GET /stats``
     The unified stats tree per backend (see
-    :meth:`~repro.serve.service.ServiceStats.to_dict`) plus the router's
-    per-backend in-flight load.
+    :meth:`~repro.serve.service.ServiceStats.to_dict`) plus the per-backend
+    in-flight counts that routing places by.
 ``GET /models``
     The routable backends and their worker/degraded state.
 ``GET /metrics``
@@ -53,13 +51,12 @@ import asyncio
 import contextlib
 import json
 import threading
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 import orjson
 
 from repro.obs.metrics import render_prometheus_multi
-from repro.scheduler.broker import BackendRouter, Broker
 from repro.serve.admission import AdmissionRejected, ServiceOverloaded
 from repro.serve.api import RequestSpec, table_fingerprint
 from repro.serve.service import SampleRequest, SamplingService
@@ -108,13 +105,16 @@ class FrontDoorTicket:
     """Handle for a routed request: the service handle plus its slot.
 
     Wraps the backend's :class:`~repro.serve.service.SampleRequest` and
-    releases the request's router slot once the request resolves, so the
-    least-loaded policy sees completions as well as arrivals.
+    releases the request's in-flight slot once the request resolves and
+    the caller has collected it, so routing sees completions as well as
+    arrivals.
     """
 
-    def __init__(self, inner: SampleRequest, router: BackendRouter, backend: str) -> None:
+    def __init__(
+        self, inner: SampleRequest, release: Callable[[str], None], backend: str
+    ) -> None:
         self._inner = inner
-        self._router = router
+        self._release = release
         #: The backend (model/stage name) this request was routed to.
         self.backend = backend
         self._released = False
@@ -150,7 +150,7 @@ class FrontDoorTicket:
             if self._released:
                 return
             self._released = True
-        self._router.release(self.backend)
+        self._release(self.backend)
 
 
 class FrontDoor:
@@ -163,9 +163,6 @@ class FrontDoor:
         or a mapping of backend name → service — registry stage names
         (``prod``, ``canary``) are the intended keys for multi-stage
         serving.
-    broker:
-        The placement policy for unpinned requests; defaults to
-        :class:`~repro.scheduler.broker.LeastLoadedBroker`.
 
     The front door does not own its services' lifecycles by default:
     :meth:`close` stops the HTTP endpoint, and ``close(services=True)``
@@ -173,20 +170,17 @@ class FrontDoor:
     """
 
     def __init__(
-        self,
-        services: Union[SamplingService, Mapping[str, SamplingService]],
-        *,
-        broker: Optional[Broker] = None,
+        self, services: Union[SamplingService, Mapping[str, SamplingService]]
     ) -> None:
         if isinstance(services, SamplingService):
             services = {"default": services}
         if not services:
             raise ValueError("FrontDoor requires at least one backend service")
         self._services: Dict[str, SamplingService] = dict(services)
-        self._router = BackendRouter(
-            {name: service.workers for name, service in self._services.items()},
-            broker=broker,
-        )
+        # Requests routed and not yet collected, per backend (registration
+        # order: ``min`` breaks ties toward the first backend).
+        self._in_flight: Dict[str, int] = {name: 0 for name in self._services}
+        self._route_lock = threading.Lock()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._server_thread: Optional[threading.Thread] = None
@@ -209,31 +203,36 @@ class FrontDoor:
     def submit(self, spec: RequestSpec, *, model: Optional[str] = None) -> FrontDoorTicket:
         """Route one request and queue it on its backend.
 
-        Unpinned requests go to the least-loaded backend; ``model`` pins
-        one.  Raises whatever the backend's admission control raises —
-        routing happens first, so a rejected request's slot is released
-        immediately.
+        Unpinned requests go to the backend with the fewest requests in
+        flight; ``model`` pins one.  Raises whatever the backend's admission
+        control raises — routing happens first, so a rejected request's
+        slot is released immediately.
         """
         if model is not None and model not in self._services:
             known = ", ".join(self._services)
             raise KeyError(f"unknown model {model!r}; serving: {known}")
-        backend = self._router.acquire(
-            rows=spec.n, project=spec.tenant, backend=model
-        )
+        with self._route_lock:
+            backend = model if model is not None else min(self._in_flight, key=self._in_flight.__getitem__)
+            self._in_flight[backend] += 1
         try:
             inner = self._services[backend].submit(spec)
         except BaseException:
-            self._router.release(backend)
+            self._release(backend)
             raise
-        return FrontDoorTicket(inner, self._router, backend)
+        return FrontDoorTicket(inner, self._release, backend)
+
+    def _release(self, backend: str) -> None:
+        with self._route_lock:
+            self._in_flight[backend] -= 1
 
     def sample(self, spec: RequestSpec, *, model: Optional[str] = None) -> Table:
         """Synchronous convenience: route, wait, return the table."""
         return self.submit(spec, model=model).result()
 
     def stats(self) -> Dict[str, object]:
-        """The unified stats tree: per-backend service stats + router load."""
-        load = self._router.load()
+        """The unified stats tree: per-backend service stats + in-flight counts."""
+        with self._route_lock:
+            load = dict(self._in_flight)
         return {
             "models": {
                 name: service.stats().to_dict()

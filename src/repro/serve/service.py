@@ -55,7 +55,6 @@ import heapq
 import operator
 import threading
 import time
-import warnings
 from collections import deque
 from concurrent.futures import BrokenExecutor, CancelledError
 from dataclasses import dataclass, field
@@ -63,14 +62,7 @@ from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.models.base import Surrogate
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import (
-    Tracer,
-    request_span_id,
-    span_id,
-    trace_id_from_child,
-    trace_id_from_seed,
-    wall_clock,
-)
+from repro.obs.tracing import TraceContext, Tracer, request_context
 from repro.serve.admission import (
     AdmissionController,
     AdmissionPolicy,
@@ -106,6 +98,8 @@ class SampleRequest:
     def __init__(self, spec: RequestSpec) -> None:
         self.spec = spec
         self.submitted_at = time.perf_counter()
+        #: When the request cleared admission (its queue wait starts here).
+        self.admitted_at = self.submitted_at
         self._done = threading.Event()
         self._result: Optional[Table] = None
         self._error: Optional[BaseException] = None
@@ -116,30 +110,6 @@ class SampleRequest:
         # Weighted-fair-queue bookkeeping (owned by the service's queue).
         self._queued = False
         self._wfq_start = 0.0
-        # Observability stashes (owned by the service; unset when untraced).
-        self._obs_admitted_at: Optional[float] = None
-        self._obs_trace_id: Optional[str] = None
-
-    # Legacy attribute views (the pre-RequestSpec handle surface).
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    @property
-    def seed(self) -> SeedLike:
-        return self.spec.seed
-
-    @property
-    def sampling_mode(self) -> str:
-        return self.spec.sampling_mode
-
-    @property
-    def tenant(self) -> str:
-        return self.spec.tenant
-
-    @property
-    def priority(self) -> str:
-        return self.spec.priority
 
     def done(self) -> bool:
         return self._done.is_set()
@@ -311,7 +281,8 @@ class ServiceStats:
     degraded: bool = False
     #: Admission counters (empty mapping = admission control disabled).
     admission: Mapping[str, int] = field(default_factory=dict)
-    #: Per-tenant ``{"requests", "rows", "p50_wait_s", "p95_wait_s"}``.
+    #: Per-tenant ``{"requests", "rows", "p50_latency_s", "p95_latency_s"}``
+    #: (submit-to-deliver latency over the sliding window).
     tenants: Mapping[str, Mapping[str, float]] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
@@ -607,7 +578,6 @@ class SamplingService:
     def _coerce_spec(
         self,
         request: object,
-        legacy: Tuple[object, ...],
         seed: SeedLike,
         sampling_mode: Optional[str],
         tenant: Optional[str],
@@ -618,11 +588,9 @@ class SamplingService:
 
         Canonical: ``submit(RequestSpec(...))``.  Convenience: ``submit(n,
         seed=..., sampling_mode=..., tenant=..., ...)`` (keyword-only knobs).
-        Deprecated: the original positional ``submit(n, seed, sampling_mode)``
-        — still byte-equivalent, now with a :class:`DeprecationWarning`.
         """
         if isinstance(request, RequestSpec):
-            if legacy or any(
+            if any(
                 value is not None
                 for value in (seed, sampling_mode, tenant, priority, deadline)
             ):
@@ -636,22 +604,6 @@ class SamplingService:
             raise TypeError(
                 f"expected a RequestSpec or a row count, got {type(request).__name__}"
             ) from None
-        if legacy:
-            warnings.warn(
-                "positional seed/sampling_mode arguments are deprecated; pass a "
-                "RequestSpec (or use keyword arguments)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if len(legacy) > 2:
-                raise TypeError(
-                    f"at most (n, seed, sampling_mode) positionally; got {len(legacy) + 1} arguments"
-                )
-            if seed is not None or (len(legacy) == 2 and sampling_mode is not None):
-                raise TypeError("seed/sampling_mode given both positionally and by keyword")
-            seed = legacy[0]  # type: ignore[assignment]
-            if len(legacy) == 2:
-                sampling_mode = str(legacy[1])
         return RequestSpec(
             n=request,
             seed=seed,
@@ -664,7 +616,7 @@ class SamplingService:
     def submit(
         self,
         request: object,
-        *legacy: object,
+        *,
         seed: SeedLike = None,
         sampling_mode: Optional[str] = None,
         tenant: Optional[str] = None,
@@ -683,9 +635,7 @@ class SamplingService:
         requests raise :class:`~repro.serve.admission.AdmissionRejected`
         regardless of ``wait``.
         """
-        spec = self._coerce_spec(
-            request, legacy, seed, sampling_mode, tenant, priority, deadline
-        )
+        spec = self._coerce_spec(request, seed, sampling_mode, tenant, priority, deadline)
         handle = SampleRequest(spec)
         handle._service = self
         n = spec.n
@@ -719,7 +669,7 @@ class SamplingService:
                 self._in_flight_rows += n
                 self._pending_requests += 1
                 self._queue.push(handle)
-                handle._obs_admitted_at = time.perf_counter()
+                handle.admitted_at = time.perf_counter()
                 self._set_queue_gauges_locked()
             finally:
                 # The ticket leaves the line whether we admitted, refused or
@@ -731,7 +681,7 @@ class SamplingService:
     def sample(
         self,
         request: object,
-        *legacy: object,
+        *,
         seed: SeedLike = None,
         sampling_mode: Optional[str] = None,
         tenant: Optional[str] = None,
@@ -739,9 +689,7 @@ class SamplingService:
         deadline: Optional[float] = None,
     ) -> Table:
         """Synchronous convenience: submit and wait for the table."""
-        spec = self._coerce_spec(
-            request, legacy, seed, sampling_mode, tenant, priority, deadline
-        )
+        spec = self._coerce_spec(request, seed, sampling_mode, tenant, priority, deadline)
         return self.submit(spec).result()
 
     def stats(self) -> ServiceStats:
@@ -756,7 +704,7 @@ class SamplingService:
             latencies = sorted(self._latencies)
             queue_depth = len(self._queue)
             in_flight = self._in_flight_rows
-            tenant_waits = {
+            tenant_latencies = {
                 tenant: sorted(window)
                 for tenant, window in self._tenant_latencies.items()
             }
@@ -770,10 +718,10 @@ class SamplingService:
             tenant: {
                 "requests": int(tenant_requests.get((tenant,), 0)),
                 "rows": int(tenant_rows.get((tenant,), 0)),
-                "p50_wait_s": self._percentile(waits, 0.50),
-                "p95_wait_s": self._percentile(waits, 0.95),
+                "p50_latency_s": self._percentile(window, 0.50),
+                "p95_latency_s": self._percentile(window, 0.95),
             }
-            for tenant, waits in tenant_waits.items()
+            for tenant, window in tenant_latencies.items()
         }
         faults = self._sampler.fault_stats()
         uptime = time.perf_counter() - self._started_at
@@ -951,20 +899,16 @@ class SamplingService:
         """
         pooled = self._sampler.workers > 1 and not self._sampler.pool_broken
         run = self._sampler.chunk_run() if pooled else None
-        tracer = self._tracer
         popped_at = time.perf_counter()
         self._m_batches.inc()
-        # One plan per request: [request, sizes, children, handles, error].
-        # ``handles`` is None on the pool-free path, else the submitted
-        # chunk handles so far (shorter than ``sizes`` = submission died).
+        # One plan per request: [request, sizes, children, handles, error,
+        # trace].  ``handles`` is None on the pool-free path, else the
+        # submitted chunk handles so far (shorter than ``sizes`` =
+        # submission died).
         plans: List[list] = []
         for request in batch:
             spec = request.spec
-            admitted_at = (
-                request._obs_admitted_at
-                if request._obs_admitted_at is not None
-                else request.submitted_at
-            )
+            admitted_at = request.admitted_at
             self._m_queue_wait.observe(
                 max(popped_at - admitted_at, 0.0),
                 tenant=spec.tenant,
@@ -976,32 +920,15 @@ class SamplingService:
                 sizes, children = self._sampler.chunk_plan(spec.n, spec.seed)
             except BaseException as exc:  # noqa: BLE001 - forwarded to the caller
                 error = exc
-            if tracer is not None:
-                trace_id = (
-                    trace_id_from_child(children[0])
-                    if children
-                    else trace_id_from_seed(spec.seed)
-                )
-                request._obs_trace_id = trace_id
-                root = request_span_id(trace_id)
-                tracer.record_span(
-                    "admission",
-                    trace_id,
-                    span_id=span_id(trace_id, "admission"),
-                    parent_id=root,
-                    start=wall_clock(request.submitted_at),
-                    duration=admitted_at - request.submitted_at,
-                    attrs={"tenant": spec.tenant, "priority": spec.priority},
-                )
-                tracer.record_span(
-                    "queue_wait",
-                    trace_id,
-                    span_id=span_id(trace_id, "queue_wait"),
-                    parent_id=root,
-                    start=wall_clock(admitted_at),
-                    duration=popped_at - admitted_at,
-                )
-            plans.append([request, sizes, children, [] if run is not None else None, error])
+            trace = request_context(self._tracer, spec.seed, children)
+            trace.record(
+                "admission",
+                request.submitted_at,
+                duration=admitted_at - request.submitted_at,
+                attrs={"tenant": spec.tenant, "priority": spec.priority},
+            )
+            trace.record("queue_wait", admitted_at, duration=popped_at - admitted_at)
+            plans.append([request, sizes, children, [] if run is not None else None, error, trace])
 
         dispatch_started = time.perf_counter()
         if run is not None:
@@ -1011,7 +938,7 @@ class SamplingService:
             while submitting and not pool_died:
                 submitting = False
                 for plan in plans:
-                    request, sizes, children, handles, error = plan
+                    request, sizes, children, handles, error, _trace = plan
                     if handles is None or error is not None:
                         continue
                     index = len(handles)
@@ -1033,28 +960,17 @@ class SamplingService:
                         for handle in handles:
                             handle.cancel()
 
-        if tracer is not None:
-            # One dispatch span per micro-batch, attributed to the first
-            # traced request (the batch is the unit of dispatch, not the
-            # request).
-            first_trace = next(
-                (plan[0]._obs_trace_id for plan in plans if plan[0]._obs_trace_id),
-                None,
-            )
-            if first_trace is not None:
-                tracer.record_span(
-                    "dispatch",
-                    first_trace,
-                    span_id=span_id(first_trace, "dispatch"),
-                    parent_id=request_span_id(first_trace),
-                    start=wall_clock(dispatch_started),
-                    duration=time.perf_counter() - dispatch_started,
-                    attrs={"batch_requests": len(plans), "pooled": run is not None},
-                )
+        # One dispatch span per micro-batch, attributed to the first request
+        # (the batch is the unit of dispatch, not the request).
+        plans[0][5].record(
+            "dispatch",
+            dispatch_started,
+            attrs={"batch_requests": len(plans), "pooled": run is not None},
+        )
 
-        for request, sizes, children, handles, error in plans:
+        for request, sizes, children, handles, error, trace in plans:
             if error is not None:
-                self._finish(request, None, error)
+                self._finish(request, None, error, trace)
                 continue
             mode = request.spec.sampling_mode
             try:
@@ -1073,24 +989,19 @@ class SamplingService:
                         self._sampler.sample_chunk_local(size, child, mode)
                         for size, child in zip(sizes, children)
                     ]
-                assemble_started = time.perf_counter()
+                assemble_started = trace.now()
                 table = self._sampler.assemble(
                     chunks, seed=request.spec.seed, sampling_mode=mode
                 )
-                if tracer is not None and request._obs_trace_id is not None:
-                    tracer.record_span(
-                        "assemble",
-                        request._obs_trace_id,
-                        span_id=span_id(request._obs_trace_id, "assemble"),
-                        parent_id=request_span_id(request._obs_trace_id),
-                        start=wall_clock(assemble_started),
-                        duration=time.perf_counter() - assemble_started,
-                        attrs={"chunks": len(chunks), "rows": request.spec.n},
-                    )
+                trace.record(
+                    "assemble",
+                    assemble_started,
+                    attrs={"chunks": len(chunks), "rows": request.spec.n},
+                )
             except BaseException as exc:  # noqa: BLE001 - forwarded to the caller
-                self._finish(request, None, exc)
+                self._finish(request, None, exc, trace)
                 continue
-            self._finish(request, table, None)
+            self._finish(request, table, None, trace)
 
     @staticmethod
     def _gather(handles) -> List[Table]:
@@ -1119,9 +1030,13 @@ class SamplingService:
         ]
 
     def _finish(
-        self, request: SampleRequest, table: Optional[Table], error: Optional[BaseException]
+        self,
+        request: SampleRequest,
+        table: Optional[Table],
+        error: Optional[BaseException],
+        trace: TraceContext,
     ) -> None:
-        deliver_started = time.perf_counter()
+        deliver_started = trace.now()
         spec = request.spec
         with self._lock:
             delivered = request._resolve(table, error)
@@ -1144,26 +1059,17 @@ class SamplingService:
             self._m_latency.observe(
                 request.latency, tenant=spec.tenant, priority=spec.priority
             )
-        tracer = self._tracer
-        if tracer is not None and delivered and request._obs_trace_id is not None:
-            trace_id = request._obs_trace_id
-            root = request_span_id(trace_id)
-            tracer.record_span(
+        if delivered:
+            trace.record(
                 "deliver",
-                trace_id,
-                span_id=span_id(trace_id, "deliver"),
-                parent_id=root,
-                start=wall_clock(deliver_started),
-                duration=time.perf_counter() - deliver_started,
+                deliver_started,
                 attrs={"error": type(error).__name__} if error is not None else None,
             )
-            tracer.record_span(
+            trace.record(
                 "request",
-                trace_id,
-                span_id=root,
-                parent_id=None,
-                start=wall_clock(request.submitted_at),
-                duration=request.latency if request.latency is not None else 0.0,
+                request.submitted_at,
+                scope=True,
+                duration=request.latency or 0.0,
                 attrs={
                     "tenant": spec.tenant,
                     "priority": spec.priority,

@@ -87,15 +87,7 @@ import numpy as np
 
 from repro.models.base import SAMPLING_MODES, Surrogate
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import (
-    TracedChunk,
-    Tracer,
-    chunk_span_id,
-    make_span,
-    request_span_id,
-    span_id,
-    trace_id_from_child,
-)
+from repro.obs.tracing import NULL_TRACE, TracedChunk, Tracer, chunk_context
 from repro.serve import faults as fault_injection
 from repro.serve import shm as shm_transport
 from repro.serve.api import RequestSpec
@@ -177,50 +169,17 @@ def _sample_chunk(size: int, child: np.random.SeedSequence, sampling_mode: str):
     spawn_key = getattr(child, "spawn_key", ())
     index = int(spawn_key[-1]) if spawn_key else 0
     fault_injection.maybe_inject(index)
-    if not _WORKER_TRACING:
-        table = _WORKER_MODEL.sample(
+    tracer = Tracer() if _WORKER_TRACING else None
+    trace = chunk_context(tracer, child, index)
+    with trace.span("worker_compute", attrs={"chunk": index, "rows": size}):
+        payload = _WORKER_MODEL.sample(
             size, seed=np.random.default_rng(child), sampling_mode=sampling_mode
         )
-        if _WORKER_ENCODER is not None:
-            return _WORKER_ENCODER.encode(table)
-        return table
-
-    trace_id = trace_id_from_child(child)
-    parent = chunk_span_id(trace_id, index)
-    spans = []
-    start_wall = time.time()
-    start = time.perf_counter()
-    table = _WORKER_MODEL.sample(
-        size, seed=np.random.default_rng(child), sampling_mode=sampling_mode
-    )
-    spans.append(
-        make_span(
-            "worker_compute",
-            trace_id,
-            span_id=span_id(trace_id, "worker_compute", index),
-            parent_id=parent,
-            start=start_wall,
-            duration=time.perf_counter() - start,
-            attrs={"chunk": index, "rows": size},
-        )
-    )
-    payload: object = table
     if _WORKER_ENCODER is not None:
-        start_wall = time.time()
-        start = time.perf_counter()
-        payload = _WORKER_ENCODER.encode(table)
-        spans.append(
-            make_span(
-                "shm_encode",
-                trace_id,
-                span_id=span_id(trace_id, "shm_encode", index),
-                parent_id=parent,
-                start=start_wall,
-                duration=time.perf_counter() - start,
-                attrs={"chunk": index, "nbytes": int(getattr(payload, "nbytes", 0))},
-            )
-        )
-    return TracedChunk(payload, spans)
+        started = trace.now()
+        payload = _WORKER_ENCODER.encode(payload)
+        trace.record("shm_encode", started, attrs={"chunk": index, "nbytes": int(payload.nbytes)})
+    return payload if tracer is None else TracedChunk(payload, tracer.spans())
 
 
 class ChunkError(RuntimeError):
@@ -358,17 +317,12 @@ class _ChunkHandle:
         self._child = child
         self._mode = sampling_mode
         self._attempts = 0  # failures + timeouts charged against max_retries
-        self._tracer = run.sampler.tracer
-        if self._tracer is not None:
-            self._trace_id = trace_id_from_child(child)
-            self._chunk_span = chunk_span_id(self._trace_id, index)
-            self._created_wall = time.time()
+        self._trace = chunk_context(run.sampler.tracer, child, index)
+        self._created = self._trace.now()
         self._primary: SupervisedFuture = self._submit()
-        self._primary_started = time.monotonic()
-        self._primary_started_wall = time.time()
+        self._primary_started = time.perf_counter()
         self._hedge: Optional[SupervisedFuture] = None
         self._hedge_started = 0.0
-        self._hedge_started_wall = 0.0
         self._consumed = False
 
     def _submit(self) -> SupervisedFuture:
@@ -424,7 +378,7 @@ class _ChunkHandle:
     def _poll_once(self) -> Optional[Table]:
         """One supervision tick: winners, failures, deadline, hedge trigger."""
         policy = self._run.policy
-        now = time.monotonic()
+        now = time.perf_counter()
 
         primary_done, primary_error = self._outcome(self._primary)
         hedge_done, hedge_error = self._outcome(self._hedge)
@@ -458,7 +412,6 @@ class _ChunkHandle:
                 # The duplicate is already racing: make it the attempt.
                 self._primary, self._hedge = self._hedge, None
                 self._primary_started = self._hedge_started
-                self._primary_started_wall = self._hedge_started_wall
             else:
                 self._handle_failure(exc)
             return None
@@ -471,7 +424,6 @@ class _ChunkHandle:
                 self._run.sampler._abandon(self._primary)
                 self._primary, self._hedge = self._hedge, None
                 self._primary_started = self._hedge_started
-                self._primary_started_wall = self._hedge_started_wall
                 return None
             self._run.sampler._count(timeouts=1)
             _LOG.warning(
@@ -492,8 +444,7 @@ class _ChunkHandle:
                 trigger = max(policy.min_hedge_latency, policy.hedge_multiplier * median)
                 if now - self._primary_started > trigger:
                     self._hedge = self._submit()
-                    self._hedge_started = time.monotonic()
-                    self._hedge_started_wall = time.time()
+                    self._hedge_started = time.perf_counter()
                     self._run.sampler._count(hedges=1)
                     _LOG.info(
                         "chunk %d (%d rows) straggling %.3fs > %.3fs trigger; hedging",
@@ -503,21 +454,14 @@ class _ChunkHandle:
         time.sleep(policy.poll)
         return None
 
-    def _record_attempt_span(
-        self, started_wall: float, started_at: float, *, error: Optional[str] = None
-    ) -> None:
-        if self._tracer is None:
-            return
+    def _record_attempt(self, number: int, started: float, error: Optional[str] = None) -> None:
         attrs = {"chunk": self.index, "rows": self.size}
         if error is not None:
             attrs["error"] = error
-        self._tracer.record_span(
-            f"attempt[{self._attempts}]",
-            self._trace_id,
-            span_id=span_id(self._trace_id, "attempt", self.index, self._attempts),
-            parent_id=self._chunk_span,
-            start=started_wall,
-            duration=time.monotonic() - started_at,
+        self._trace.record(
+            f"attempt[{number}]",
+            started,
+            span_id=self._trace.span_id("attempt", self.index, number),
             attrs=attrs,
         )
 
@@ -527,9 +471,7 @@ class _ChunkHandle:
             raise exc  # pool-level: not retryable at chunk granularity
         policy = self._run.policy
         self._attempts += 1
-        self._record_attempt_span(
-            self._primary_started_wall, self._primary_started, error=str(exc)
-        )
+        self._record_attempt(self._attempts, self._primary_started, str(exc))
         if self._attempts > policy.max_retries:
             _LOG.error(
                 "chunk %d (%d rows) exhausted its retry budget after attempt %d: %s",
@@ -549,33 +491,25 @@ class _ChunkHandle:
         if policy.backoff > 0:
             time.sleep(policy.backoff * (2 ** (self._attempts - 1)))
         self._primary = self._submit()
-        self._primary_started = time.monotonic()
-        self._primary_started_wall = time.time()
+        self._primary_started = time.perf_counter()
 
     def _finish(self, table: Table, started_at: float, *, hedged_win: bool) -> Table:
         self._consumed = True
-        self._run.record_latency(time.monotonic() - started_at)
+        self._run.record_latency(time.perf_counter() - started_at)
         if hedged_win:
             self._run.sampler._count(hedge_wins=1)
-        if self._tracer is not None:
-            self._attempts += 1  # the successful attempt, for span naming
-            started_wall = self._hedge_started_wall if hedged_win else self._primary_started_wall
-            self._record_attempt_span(started_wall, started_at)
-            self._attempts -= 1
-            self._tracer.record_span(
-                f"chunk[{self.index}]",
-                self._trace_id,
-                span_id=self._chunk_span,
-                parent_id=request_span_id(self._trace_id),
-                start=self._created_wall,
-                duration=time.time() - self._created_wall,
-                attrs={
-                    "chunk": self.index,
-                    "rows": self.size,
-                    "retries": self._attempts,
-                    "hedged_win": hedged_win,
-                },
-            )
+        self._record_attempt(self._attempts + 1, started_at)
+        self._trace.record(
+            f"chunk[{self.index}]",
+            self._created,
+            scope=True,
+            attrs={
+                "chunk": self.index,
+                "rows": self.size,
+                "retries": self._attempts,
+                "hedged_win": hedged_win,
+            },
+        )
         self._run.sampler._reap()
         return table
 
@@ -803,31 +737,18 @@ class ShardedSampler:
         tracer and the payload proceeds exactly as if tracing were off —
         which is why enabling tracing cannot change served bytes.
         """
-        spans = None
+        trace = NULL_TRACE
         if isinstance(result, TracedChunk):
-            spans = result.spans
+            trace = result.adopt(self.tracer)
             result = result.payload
-        tracer = self.tracer
-        if tracer is not None and spans:
-            tracer.extend(spans)
         if isinstance(result, ChunkEnvelope):
             assert self._shm_session is not None, "envelope received without a session"
-            if tracer is not None and spans:
-                first = spans[0]
-                start_wall = time.time()
-                start = time.perf_counter()
-                table = self._shm_session.decoder.decode(result)
-                tracer.record_span(
-                    "shm_decode",
-                    first.trace_id,
-                    span_id=span_id(first.trace_id, "shm_decode", first.attrs.get("chunk", 0)),
-                    parent_id=first.parent_id,
-                    start=start_wall,
-                    duration=time.perf_counter() - start,
-                    attrs={"nbytes": int(result.nbytes), "rows": int(result.n_rows)},
-                )
-                return table
-            return self._shm_session.decoder.decode(result)
+            started = trace.now()
+            table = self._shm_session.decoder.decode(result)
+            trace.record(
+                "shm_decode", started, attrs={"nbytes": int(result.nbytes), "rows": int(result.n_rows)}
+            )
+            return table
         return result
 
     def _abandon(self, future: Optional[SupervisedFuture]) -> None:
@@ -972,32 +893,16 @@ class ShardedSampler:
 
         if self.workers == 1 or len(sizes) <= 1:
             def _generate_serial() -> Iterator[Table]:
-                tracer = self.tracer
                 for index, (size, child) in enumerate(zip(sizes, children)):
+                    trace = chunk_context(self.tracer, child, index)
+                    attrs = {"chunk": index, "rows": size, "local": True}
                     try:
-                        if tracer is None:
-                            yield self.sample_chunk_local(size, child, sampling_mode)
-                            continue
-                        trace_id = trace_id_from_child(child)
-                        chunk_span = chunk_span_id(trace_id, index)
-                        with tracer.span(
-                            f"chunk[{index}]",
-                            trace_id,
-                            span_id=chunk_span,
-                            parent_id=request_span_id(trace_id),
-                            attrs={"chunk": index, "rows": size, "local": True},
-                        ):
-                            with tracer.span(
-                                "worker_compute",
-                                trace_id,
-                                span_id=span_id(trace_id, "worker_compute", index),
-                                parent_id=chunk_span,
-                                attrs={"chunk": index, "rows": size, "local": True},
-                            ):
+                        with trace.span(f"chunk[{index}]", scope=True, attrs=attrs):
+                            with trace.span("worker_compute", attrs=attrs):
                                 table = self.sample_chunk_local(size, child, sampling_mode)
-                        yield table
                     except Exception as exc:
                         raise ChunkError(index, size, f"failed: {exc}") from exc
+                    yield table
 
             return _generate_serial()
 

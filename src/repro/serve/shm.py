@@ -70,6 +70,11 @@ except ImportError:  # pragma: no cover - exotic platforms only
     resource_tracker = None  # type: ignore[assignment]
     shared_memory = None  # type: ignore[assignment]
 
+try:  # pragma: no cover - POSIX only; the sweep's unsized-segment path
+    from _posixshmem import shm_unlink as _shm_unlink
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    _shm_unlink = None
+
 __all__ = [
     "ChunkDecoder",
     "ChunkEncoder",
@@ -244,7 +249,7 @@ class ChunkEncoder:
         total = self.layout.chunk_nbytes(n)
         name = f"{SEGMENT_PREFIX}{os.getpid()}_{secrets.token_hex(8)}"
         # Token first: a crash at any later point leaves token + (maybe)
-        # segment, and the sweep handles both halves.
+        # segment, sized or not, and the sweep handles both halves.
         self._write_token(name)
         segment = shared_memory.SharedMemory(name=name, create=True, size=max(total, 1))
         _untrack(segment.name)
@@ -392,6 +397,16 @@ class ChunkDecoder:
             segment = shared_memory.SharedMemory(name=name)
         except FileNotFoundError:
             return False
+        except ValueError:
+            # A worker killed between creating the segment and sizing it
+            # leaves an empty one, which cannot be mapped: unlink it by name.
+            if _shm_unlink is None:  # pragma: no cover - non-POSIX platforms
+                raise
+            try:
+                _shm_unlink("/" + name)
+            except FileNotFoundError:  # pragma: no cover - lost the race
+                return False
+            return True
         segment.close()
         try:
             segment.unlink()  # also balances the attach-side tracker registration

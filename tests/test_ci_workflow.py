@@ -91,6 +91,17 @@ class TestWorkflowDocument:
         assert env.get("PYTHONPATH") == "src"
         assert os.path.exists(os.path.join(REPO_ROOT, "tests", "test_serve_shm.py"))
 
+    def test_shm_step_runs_the_span_suite(self, workflow):
+        # The traced serving suite rides the shm-forced step, so the
+        # shm_encode/shm_decode spans are recorded with the transport pinned.
+        steps = workflow["jobs"]["tests"]["steps"]
+        (step,) = [step for step in steps if "tests/test_serve_shm.py" in step.get("run", "")]
+        assert "tests/test_obs_serving.py" in step["run"]
+        env = step.get("env") or {}
+        assert str(env.get("REPRO_SHM")) == "1"
+        assert str(env.get("REPRO_WORKERS")) == "2"
+        assert os.path.exists(os.path.join(REPO_ROOT, "tests", "test_obs_serving.py"))
+
     def test_test_job_gates_fault_injection_with_forced_workers(self, workflow):
         # The chaos suite must run as its own named step with REPRO_WORKERS=2:
         # supervision, retry/timeout/hedging and degraded mode only mean

@@ -19,10 +19,14 @@ from repro.obs.metrics import (
     validate_prometheus_text,
 )
 from repro.obs.tracing import (
+    NULL_TRACE,
     Span,
+    TraceContext,
     Tracer,
+    chunk_context,
     chunk_span_id,
     make_span,
+    request_context,
     request_span_id,
     span_id,
     trace_id_from_child,
@@ -222,11 +226,45 @@ class TestTracer:
     def test_span_context_manager_measures(self):
         tracer = Tracer()
         trace = trace_id_from_seed(2)
-        with tracer.span("work", trace, span_id=span_id(trace, "work")):
+        with TraceContext(tracer, trace).span("work"):
             pass
         (span,) = tracer.spans()
         assert span.name == "work"
+        assert span.span_id == span_id(trace, "work")
+        assert span.parent_id == request_span_id(trace)
         assert span.duration >= 0.0
+
+    def test_chunk_context_parents_under_its_chunk_span(self):
+        tracer = Tracer()
+        parent = np.random.SeedSequence(42)
+        trace = trace_id_from_seed(parent)
+        context = chunk_context(tracer, parent.spawn(2)[1], 1)
+        context.record("worker_compute", context.now())
+        context.record("chunk[1]", context.now(), scope=True)
+        compute, chunk = tracer.spans()
+        assert (compute.span_id, compute.parent_id) == (
+            span_id(trace, "worker_compute", 1),
+            chunk_span_id(trace, 1),
+        )
+        assert (chunk.span_id, chunk.parent_id) == (chunk_span_id(trace, 1), request_span_id(trace))
+
+    def test_request_scope_span_is_the_root(self):
+        tracer = Tracer()
+        context = request_context(tracer, 7)
+        context.record("request", context.now(), scope=True, duration=0.5)
+        (root,) = tracer.spans()
+        trace = trace_id_from_seed(7)
+        assert (root.trace_id, root.span_id, root.parent_id) == (trace, request_span_id(trace), None)
+        assert root.duration == 0.5
+
+    def test_null_context_without_a_tracer(self):
+        child = np.random.SeedSequence(3).spawn(1)[0]
+        assert request_context(None, 3) is NULL_TRACE
+        assert chunk_context(None, child, 0) is NULL_TRACE
+        assert NULL_TRACE.now() == 0.0
+        assert NULL_TRACE.span_id("attempt", 0, 1) == ""
+        with NULL_TRACE.span("work", scope=True, attrs={"rows": 1}):
+            NULL_TRACE.record("work", 0.0, attrs={"rows": 1})
 
     def test_make_span_clamps_negative_duration(self):
         span = make_span("s", "t", span_id="i", start=0.0, duration=-1.0)

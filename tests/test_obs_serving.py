@@ -27,12 +27,14 @@ from repro.obs.metrics import REQUIRED_SERVE_SERIES, validate_prometheus_text
 from repro.obs.tracing import Tracer, chunk_span_id, request_span_id, trace_id_from_seed
 from repro.scenarios import ScenarioEngine, get_scenario
 from repro.serve import (
+    FaultPlan,
     FrontDoor,
     RequestSpec,
     SamplingService,
     ShardedSampler,
     table_fingerprint,
 )
+from repro.serve.shm import resolve_transport
 from repro.tabular.schema import TableSchema
 from repro.tabular.table import Table
 
@@ -128,6 +130,139 @@ class TestByteInvisibility:
         ) as traced:
             actual = table_fingerprint(traced.sample(300, seed=5))
         assert actual == expected
+
+
+# -- golden span trees ----------------------------------------------------------
+#
+# The exact multiset of ``(name, span_id, parent_id, attrs)`` each serving
+# path records for ``RequestSpec(4 * CHUNK, seed=42, tenant="acme",
+# priority="interactive")``.  Span timings vary run to run; names, the
+# seed-derived IDs, the parent links and the attrs do not, and consumers of
+# exported traces (the per-layer budget, trace reports) key on all four.
+
+ROOT = "eb99dff79387ee7b"
+CHUNK_IDS = ("2d8a80a721e0c235", "d2d57aa8df7c89a7", "a1127b56a2f48dfd", "3301661bbe6418b1")
+
+SERVICE_SPANS = [
+    ("admission", "447501abc376c015", ROOT, (("priority", "interactive"), ("tenant", "acme"))),
+    ("assemble", "9f4a5c41410a6d39", ROOT, (("chunks", 4), ("rows", 256))),
+    ("deliver", "cc55d5eed891e2b6", ROOT, ()),
+    ("queue_wait", "7df3287ba5da17a1", ROOT, ()),
+    (
+        "request",
+        ROOT,
+        None,
+        (("mode", "fast"), ("priority", "interactive"), ("rows", 256), ("tenant", "acme")),
+    ),
+]
+
+#: Per chunk: (attempt[1] id, worker_compute id, shm_encode id, shm_decode id).
+WORKER_IDS = (
+    ("d82eff938b200efc", "5875c38ec5aaafda", "55654a5cde2e53c4", "8c6a80c1d6a22505"),
+    ("73667daf6e423968", "9391e7b6d520312d", "00b0b4669af5a048", "d34e04f1e035286e"),
+    ("f875860ec8b2bcc1", "5bc602b509d6d72c", "b0bac936afef0aa5", "205b04e8d49a03a1"),
+    ("355fd4e84a628c22", "2219117cf1f11c3c", "9806273edd39eea5", "8b400bbf8ed61857"),
+)
+
+
+def _pooled_spans(retries=(0, 0, 0, 0)):
+    spans = SERVICE_SPANS + [
+        ("dispatch", "2ad39ebaa1d6eba3", ROOT, (("batch_requests", 1), ("pooled", True)))
+    ]
+    for index, (attempt, compute, encode, decode) in enumerate(WORKER_IDS):
+        chunk = CHUNK_IDS[index]
+        spans += [
+            (
+                f"chunk[{index}]",
+                chunk,
+                ROOT,
+                (("chunk", index), ("hedged_win", False), ("retries", retries[index]), ("rows", 64)),
+            ),
+            ("attempt[1]", attempt, chunk, (("chunk", index), ("rows", 64))),
+            ("worker_compute", compute, chunk, (("chunk", index), ("rows", 64))),
+            ("shm_encode", encode, chunk, (("chunk", index), ("nbytes", 1024))),
+            ("shm_decode", decode, chunk, (("nbytes", 1024), ("rows", 64))),
+        ]
+    return spans
+
+
+GOLDEN_POOLED = _pooled_spans()
+
+GOLDEN_SERVICE_LOCAL = SERVICE_SPANS + [
+    ("dispatch", "2ad39ebaa1d6eba3", ROOT, (("batch_requests", 1), ("pooled", False)))
+]
+
+#: ``fail@1``: chunk 1's first attempt carries the error, its retry succeeds.
+GOLDEN_FAULT = [
+    span
+    for span in _pooled_spans(retries=(0, 1, 0, 0))
+    if span[:2] != ("attempt[1]", WORKER_IDS[1][0])
+] + [
+    (
+        "attempt[1]",
+        WORKER_IDS[1][0],
+        CHUNK_IDS[1],
+        (("chunk", 1), ("error", "injected failure for chunk 1 (fault #0)"), ("rows", 64)),
+    ),
+    ("attempt[2]", "4e3039b24aaf7598", CHUNK_IDS[1], (("chunk", 1), ("rows", 64))),
+]
+
+#: ``ShardedSampler(workers=1).sample(3 * CHUNK, seed=42)``: the serial path.
+GOLDEN_SAMPLER_LOCAL = [
+    span
+    for index, (_attempt, compute, _encode, _decode) in enumerate(WORKER_IDS[:3])
+    for span in (
+        (f"chunk[{index}]", CHUNK_IDS[index], ROOT, (("chunk", index), ("local", True), ("rows", 64))),
+        ("worker_compute", compute, CHUNK_IDS[index], (("chunk", index), ("local", True), ("rows", 64))),
+    )
+]
+
+
+def _span_tree(tracer):
+    return sorted(
+        (span.name, span.span_id, span.parent_id, tuple(sorted(span.attrs.items())))
+        for span in tracer.spans()
+    )
+
+
+def _expected(golden, transport):
+    if transport != "shm":
+        golden = [span for span in golden if not span[0].startswith("shm_")]
+    return sorted(golden)
+
+
+def _traced_service_tree(model, **kwargs):
+    tracer = Tracer()
+    with SamplingService(model, chunk_size=CHUNK, tracer=tracer, **kwargs) as service:
+        service.submit(
+            RequestSpec(4 * CHUNK, seed=42, tenant="acme", priority="interactive")
+        ).result(timeout=60)
+        transport = service._sampler.transport
+    return _span_tree(tracer), transport
+
+
+class TestGoldenSpanTree:
+    def test_pooled_request(self, traced_run):
+        tracer, _table = traced_run
+        assert _span_tree(tracer) == _expected(GOLDEN_POOLED, resolve_transport(None))
+
+    def test_local_service_request(self, model):
+        tree, transport = _traced_service_tree(model, workers=1)
+        assert tree == _expected(GOLDEN_SERVICE_LOCAL, transport)
+
+    def test_local_sampler_request(self, model):
+        tracer = Tracer()
+        with ShardedSampler(model, workers=1, chunk_size=CHUNK, tracer=tracer) as sampler:
+            sampler.sample(3 * CHUNK, seed=42)
+        assert _span_tree(tracer) == sorted(GOLDEN_SAMPLER_LOCAL)
+
+    def test_failed_attempt_carries_error(self, model):
+        plan = FaultPlan.parse("fail@1")
+        try:
+            tree, transport = _traced_service_tree(model, workers=2, fault_plan=plan)
+        finally:
+            plan.cleanup()
+        assert tree == _expected(GOLDEN_FAULT, transport)
 
 
 #: The chaos-drift proving ground, scaled to CI size — drift plus a worker

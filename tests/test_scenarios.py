@@ -250,9 +250,9 @@ class TestMultiTenantSLOFrontDoor:
         report = slo_reports[0]
         assert set(report.service_stats["models"]) == {"prod", "canary"}
         assert "router" in report.service_stats
-        # Every tenant that sent traffic has its wait percentiles recorded.
-        assert set(report.tenant_waits) == set(report.requests_by_tenant)
-        assert sum(w["requests"] for w in report.tenant_waits.values()) == (
+        # Every tenant that sent traffic has its latency percentiles recorded.
+        assert set(report.tenant_latencies) == set(report.requests_by_tenant)
+        assert sum(w["requests"] for w in report.tenant_latencies.values()) == (
             report.requests_served
         )
 
@@ -264,15 +264,15 @@ class TestMultiTenantBurstFairness:
         )
         report = ScenarioEngine(spec, seed=13, workers=2).run()
         assert report.requests_rejected == 0
-        assert report.tenant_waits
+        assert report.tenant_latencies
         # All burst tenants ride the same (normal) class, so the weight-fair
         # share of each is the aggregate p95; 3x that (with a 50 ms floor
         # against timer granularity) is the starvation bound the weighted
         # fair queue must hold even while request sizes whipsaw.
         bound = 3.0 * max(report.p95_latency, 0.05)
-        for tenant, waits in sorted(report.tenant_waits.items()):
-            assert waits["p95_wait_s"] <= bound, (
-                f"{tenant} p95 wait {waits['p95_wait_s']:.3f}s exceeds "
+        for tenant, latencies in sorted(report.tenant_latencies.items()):
+            assert latencies["p95_latency_s"] <= bound, (
+                f"{tenant} p95 latency {latencies['p95_latency_s']:.3f}s exceeds "
                 f"the fair-share bound {bound:.3f}s"
             )
 

@@ -4,10 +4,10 @@ Four layers, bottom up:
 
 * :class:`RequestSpec` — the unified request contract every entry point
   accepts (validation, JSON payload parsing, the ``rows`` alias);
-* the deprecation shim — the legacy positional ``submit(n, seed=...)``
-  surface warns but returns byte-identical tables;
-* :class:`BackendRouter` — least-loaded placement across named backends,
-  pinning, slot release;
+* keyword-only knobs — ``submit(n, seed=...)`` builds the spec, a
+  positional seed is a ``TypeError``;
+* routing — per-backend in-flight counts: fewest in flight wins, pinned
+  requests count, a slot is held until its ticket is collected;
 * :class:`FrontDoor` — multi-backend routing plus the HTTP endpoint: a
   served table round-trips through JSON byte-identically (same
   fingerprint), admission rejections surface as ``429`` with a
@@ -20,7 +20,11 @@ body against edge-case floats and strings.
 
 import hashlib
 import json
+import os
 import socket
+import subprocess
+import sys
+import threading
 import urllib.error
 import urllib.request
 
@@ -30,7 +34,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models.tvae import TVAEConfig, TVAESurrogate
-from repro.scheduler.broker import BackendRouter
 from repro.serve import (
     PRIORITY_CLASSES,
     AdmissionPolicy,
@@ -249,50 +252,126 @@ class TestRequestSpec:
         assert RequestSpec.from_payload(spec.to_dict()) == spec
 
 
-class TestDeprecationShim:
-    def test_positional_submit_warns_and_serves_identical_bytes(self, service):
-        spec = RequestSpec(120, seed=13, sampling_mode="fast")
-        reference = service.sample(spec)
-        with pytest.warns(DeprecationWarning, match="RequestSpec"):
-            handle = service.submit(120, 13, "fast")
-        assert handle.result() == reference
-        # The keyword convenience form is supported, not deprecated.
+class TestKeywordOnlyKnobs:
+    def test_positional_seed_raises_type_error(self, service):
+        with pytest.raises(TypeError):
+            service.submit(120, 13)
+        with pytest.raises(TypeError):
+            service.sample(90, 17, "fast")
+
+    def test_keyword_form_serves_the_spec_bytes(self, service):
+        reference = service.sample(RequestSpec(120, seed=13, sampling_mode="fast"))
         assert service.sample(120, seed=13, sampling_mode="fast") == reference
-
-    def test_positional_sample_warns_and_serves_identical_bytes(self, service):
-        reference = service.sample(RequestSpec(90, seed=17))
-        with pytest.warns(DeprecationWarning, match="RequestSpec"):
-            legacy = service.sample(90, 17)
-        assert legacy == reference
-        assert table_fingerprint(legacy) == table_fingerprint(reference)
+        assert service.submit(120, seed=13).result(timeout=60) == reference
 
 
-class TestBackendRouter:
-    def test_least_loaded_spreads_and_release_rebalances(self):
-        router = BackendRouter({"prod": 1, "canary": 1})
-        first = router.acquire(rows=100)
-        second = router.acquire(rows=100)
-        assert {first, second} == {"prod", "canary"}
-        assert router.load() == {"prod": 1, "canary": 1}
-        router.release(first)
-        assert router.load()[first] == 0
-        # The freed backend is the least loaded again.
-        assert router.acquire(rows=100) == first
+class TestFrontDoorRouting:
+    """Placement by per-backend in-flight counts: a request holds its slot
+    from routing until its ticket is collected (``result`` or ``cancel``)."""
 
-    def test_pinning_counts_load_and_unknown_names_raise(self):
-        router = BackendRouter({"prod": 2, "canary": 2})
-        for _ in range(3):
-            assert router.acquire(backend="canary") == "canary"
-        assert router.load() == {"prod": 0, "canary": 3}
-        # Unpinned traffic avoids the loaded backend.
-        assert router.acquire() == "prod"
-        with pytest.raises(KeyError):
-            router.acquire(backend="staging")
+    @pytest.fixture(scope="class")
+    def backends(self, tvae):
+        with SamplingService(tvae, workers=1, chunk_size=CHUNK) as prod:
+            with SamplingService(tvae, workers=1, chunk_size=CHUNK) as canary:
+                yield {"prod": prod, "canary": canary}
 
-    def test_release_is_idempotent_at_idle(self):
-        router = BackendRouter({"prod": 1})
-        router.release("prod")  # nothing held: stays idle, no underflow
-        assert router.load() == {"prod": 0}
+    @staticmethod
+    def _in_flight(door):
+        return door.stats()["router"]["in_flight"]
+
+    def test_unpinned_requests_spread_and_collection_rebalances(self, backends):
+        door = FrontDoor(backends)
+        first = door.submit(RequestSpec(20, seed=1))
+        second = door.submit(RequestSpec(20, seed=2))
+        # Ties go to the first registered backend.
+        assert (first.backend, second.backend) == ("prod", "canary")
+        assert self._in_flight(door) == {"prod": 1, "canary": 1}
+        second.result(timeout=60)
+        second.result(timeout=60)  # collecting twice releases once
+        assert self._in_flight(door) == {"prod": 1, "canary": 0}
+        # The freed backend has the fewest in flight again.
+        third = door.submit(RequestSpec(20, seed=3))
+        assert third.backend == "canary"
+        first.result(timeout=60)
+        third.result(timeout=60)
+        assert self._in_flight(door) == {"prod": 0, "canary": 0}
+
+    def test_pinned_requests_count_and_steer_unpinned_traffic(self, backends):
+        door = FrontDoor(backends)
+        pinned = [door.submit(RequestSpec(20, seed=i), model="canary") for i in range(3)]
+        assert {ticket.backend for ticket in pinned} == {"canary"}
+        assert self._in_flight(door) == {"prod": 0, "canary": 3}
+        unpinned = door.submit(RequestSpec(20, seed=9))
+        assert unpinned.backend == "prod"
+        for ticket in pinned + [unpinned]:
+            ticket.result(timeout=60)
+        assert self._in_flight(door) == {"prod": 0, "canary": 0}
+
+    def test_collecting_a_ticket_again_at_idle_releases_nothing(self, backends):
+        door = FrontDoor({"prod": backends["prod"]})
+        ticket = door.submit(RequestSpec(20, seed=4))
+        ticket.result(timeout=60)
+        assert self._in_flight(door) == {"prod": 0}
+        # Nothing held any more: a second collection or a late cancel stays
+        # idle, with no underflow.
+        ticket.result(timeout=60)
+        ticket.cancel()
+        assert self._in_flight(door) == {"prod": 0}
+
+    def test_unknown_model_raises_key_error(self, backends):
+        door = FrontDoor(backends)
+        with pytest.raises(KeyError, match="unknown model"):
+            door.submit(RequestSpec(10), model="staging")
+        assert self._in_flight(door) == {"prod": 0, "canary": 0}
+
+    def test_every_uncollected_ticket_is_counted(self, backends):
+        door = FrontDoor({"prod": backends["prod"]})
+        tickets = [door.submit(RequestSpec(8, seed=i)) for i in range(65)]
+        assert self._in_flight(door) == {"prod": 65}
+        for ticket in tickets:
+            ticket.result(timeout=60)
+        assert self._in_flight(door) == {"prod": 0}
+
+    def test_unpinned_overflow_is_counted_on_both_backends(self, backends):
+        door = FrontDoor(backends)
+        tickets = [door.submit(RequestSpec(8, seed=i)) for i in range(130)]
+        assert self._in_flight(door) == {"prod": 65, "canary": 65}
+        for ticket in tickets:
+            ticket.result(timeout=60)
+        assert self._in_flight(door) == {"prod": 0, "canary": 0}
+
+    def test_concurrent_routing_loses_no_count(self, backends):
+        door = FrontDoor(backends)
+        errors = []
+
+        def client(offset):
+            try:
+                for i in range(15):
+                    door.submit(RequestSpec(4, seed=offset + i)).result(timeout=60)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(100 * k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert self._in_flight(door) == {"prod": 0, "canary": 0}
+
+    def test_importing_serve_leaves_the_scheduler_unloaded(self):
+        probe = "import sys, repro.serve; print('repro.scheduler' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        output = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert output.strip() == "False"
 
 
 class TestFrontDoor:

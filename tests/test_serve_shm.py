@@ -149,6 +149,21 @@ class TestEnvelopeRoundTrip:
         assert envelope.segment not in _linked_segments()
         assert not os.path.isdir(session.spool_dir)
 
+    def test_sweep_collects_an_unsized_segment(self, models):
+        # A worker killed between creating a segment and sizing it leaves an
+        # empty segment behind its token; the sweep must unlink it too.
+        _posixshmem = pytest.importorskip("_posixshmem")
+        session = ShmSession(models["smote"])
+        name = f"{SEGMENT_PREFIX}{os.getpid()}_unsized"
+        with open(os.path.join(session.spool_dir, name), "x"):
+            pass
+        fd = _posixshmem.shm_open("/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600)
+        os.close(fd)
+        assert name in _linked_segments()
+        assert session.close() == 1
+        assert name not in _linked_segments()
+        assert not os.path.isdir(session.spool_dir)
+
     def test_layout_mismatch_ships_inline(self, models, table):
         session = ShmSession(models["tvae"])
         encoder = ChunkEncoder(session.config, models["tvae"])

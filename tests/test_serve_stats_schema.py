@@ -41,7 +41,7 @@ GOLDEN_SCHEMA = {
     },
 }
 
-GOLDEN_TENANT_KEYS = {"requests", "rows", "p50_wait_s", "p95_wait_s"}
+GOLDEN_TENANT_KEYS = {"requests", "rows", "p50_latency_s", "p95_latency_s"}
 
 
 def _table(n=300, seed=3):
